@@ -8,7 +8,7 @@
 //! after one O(n²) tridiagonalization — far cheaper than a full `eigh`.
 
 use crate::matrix::Matrix;
-use crate::tridiag::tred2;
+use crate::tridiag::tridiagonal_values;
 use crate::LinalgError;
 
 /// Number of eigenvalues of the tridiagonal matrix `(d, e)` that are
@@ -90,16 +90,16 @@ impl SpectralWindow {
 /// Locate the spectrum around µ for a symmetric matrix: occupation count
 /// and the two gap-edge eigenvalues, via tridiagonalization + bisection.
 pub fn spectral_window(a: &Matrix, mu: f64, tol: f64) -> Result<SpectralWindow, LinalgError> {
-    let tri = tred2(a)?;
-    let n = tri.d.len();
-    let n_below = count_below(&tri.d, &tri.e, mu);
+    let (d, e) = tridiagonal_values(a, "spectral_window")?;
+    let n = d.len();
+    let n_below = count_below(&d, &e, mu);
     let below = if n_below > 0 {
-        Some(kth_eigenvalue(&tri.d, &tri.e, n_below - 1, tol))
+        Some(kth_eigenvalue(&d, &e, n_below - 1, tol))
     } else {
         None
     };
     let above = if n_below < n {
-        Some(kth_eigenvalue(&tri.d, &tri.e, n_below, tol))
+        Some(kth_eigenvalue(&d, &e, n_below, tol))
     } else {
         None
     };

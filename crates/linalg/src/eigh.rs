@@ -1,14 +1,18 @@
 //! Symmetric eigensolver (`dsyevd` equivalent).
 //!
 //! Stage 1 ([`crate::tridiag::tred2`]) reduces the matrix to tridiagonal
-//! form; stage 2 ([`tql2`]) diagonalizes the tridiagonal matrix with the
-//! implicit-shift QL algorithm while rotating the accumulated basis.
+//! form `A = Q T Qᵀ` with column-oriented Householder reflections (LAPACK
+//! `dsytd2`/`dorgtr`, `uplo = 'U'`): `4/3·n³` flops for the reduction plus
+//! `4/3·n³` to form `Q`, every inner loop stride-1 on the column-major
+//! storage. Stage 2 ([`tql2`]) diagonalizes `T` with the implicit-shift QL
+//! algorithm, rotating pairs of adjacent basis columns. [`eigvalsh`] runs
+//! the same two stages but skips forming `Q` and the basis rotations.
 //! The paper computes `sign`/Fermi purifications from exactly such a
 //! decomposition (Sec. IV-F, Eq. 17) because dense diagonalization beats
 //! iterative schemes on the small, nearly dense submatrices.
 
 use crate::matrix::Matrix;
-use crate::tridiag::tred2;
+use crate::tridiag::{tridiagonal_values, tridiagonalize};
 use crate::LinalgError;
 
 /// Maximum QL sweeps per eigenvalue before giving up.
@@ -46,8 +50,16 @@ fn pythag(a: f64, b: f64) -> f64 {
 /// the corresponding eigenvectors.
 pub fn tql2(d: &mut [f64], e: &mut [f64], z: &mut Matrix) -> Result<(), LinalgError> {
     let n = d.len();
-    assert_eq!(e.len(), n, "tql2: e must have the same length as d");
     assert_eq!(z.shape(), (n, n), "tql2: z must be n-by-n");
+    ql(d, e, Some(z))
+}
+
+/// The QL loop behind [`tql2`]; `basis = None` computes eigenvalues only.
+/// `d` and `e` evolve identically either way: the rotations never feed
+/// back into them.
+fn ql(d: &mut [f64], e: &mut [f64], mut basis: Option<&mut Matrix>) -> Result<(), LinalgError> {
+    let n = d.len();
+    assert_eq!(e.len(), n, "tql2: e must have the same length as d");
     if n <= 1 {
         return Ok(());
     }
@@ -59,16 +71,24 @@ pub fn tql2(d: &mut [f64], e: &mut [f64], z: &mut Matrix) -> Result<(), LinalgEr
     }
     e[n - 1] = 0.0;
 
+    // An off-diagonal element is negligible once adding it to the norm of
+    // the whole T changes nothing. A test relative to the neighbouring
+    // diagonal entries (or to the rows visited so far, as in EISPACK)
+    // never fires inside a cluster of eigenvalues at roundoff level, such
+    // as the null space of a low-rank PSD matrix: every sweep chases
+    // through the large entries below and refills the cluster with
+    // roundoff of order ε‖T‖.
+    let tnorm = d
+        .iter()
+        .zip(e.iter())
+        .map(|(di, ei)| di.abs() + ei.abs())
+        .fold(0.0f64, f64::max);
     for l in 0..n {
         let mut iter = 0usize;
         loop {
             // Find a small off-diagonal element to split the problem.
             let mut m = l;
-            while m + 1 < n {
-                let dd = d[m].abs() + d[m + 1].abs();
-                if e[m].abs() <= f64::EPSILON * dd {
-                    break;
-                }
+            while m + 1 < n && tnorm + e[m].abs() != tnorm {
                 m += 1;
             }
             if m == l {
@@ -113,11 +133,8 @@ pub fn tql2(d: &mut [f64], e: &mut [f64], z: &mut Matrix) -> Result<(), LinalgEr
                 p = s * r;
                 d[i + 1] = g + p;
                 g = c * r - b;
-                // Rotate the eigenvector basis (columns i and i+1 of z).
-                for k in 0..n {
-                    let f = z[(k, i + 1)];
-                    z[(k, i + 1)] = s * z[(k, i)] + c * f;
-                    z[(k, i)] = c * z[(k, i)] - s * f;
+                if let Some(z) = basis.as_deref_mut() {
+                    rotate_adjacent_columns(z, i, c, s);
                 }
             }
             if underflow {
@@ -131,18 +148,26 @@ pub fn tql2(d: &mut [f64], e: &mut [f64], z: &mut Matrix) -> Result<(), LinalgEr
     Ok(())
 }
 
+/// Apply the Givens rotation `(c, s)` to columns `i` and `i+1` of `z`, both
+/// walked as contiguous slices.
+fn rotate_adjacent_columns(z: &mut Matrix, i: usize, c: f64, s: f64) {
+    let n = z.nrows();
+    let (head, tail) = z.as_mut_slice().split_at_mut((i + 1) * n);
+    let zi = &mut head[i * n..];
+    let zi1 = &mut tail[..n];
+    for (a, b) in zi.iter_mut().zip(zi1.iter_mut()) {
+        let f = *b;
+        *b = s * *a + c * f;
+        *a = c * *a - s * f;
+    }
+}
+
 /// Full symmetric eigendecomposition with eigenvalues sorted ascending.
 ///
-/// Only the lower triangle of `a` is referenced (the matrix is symmetrized
-/// internally).
+/// The matrix is symmetrized internally; see [`crate::tridiag::tred2`].
+/// Fails fast with [`LinalgError::NonFinite`] on a NaN or infinite entry.
 pub fn eigh(a: &Matrix) -> Result<Eigh, LinalgError> {
-    if !a.is_square() {
-        return Err(LinalgError::NotSquare {
-            op: "eigh",
-            shape: a.shape(),
-        });
-    }
-    let tri = tred2(a)?;
+    let tri = tridiagonalize(a, "eigh")?;
     let mut d = tri.d;
     let mut e = tri.e;
     let mut z = tri.q;
@@ -151,7 +176,7 @@ pub fn eigh(a: &Matrix) -> Result<Eigh, LinalgError> {
     // Sort ascending, permuting eigenvector columns alongside.
     let n = d.len();
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&i, &j| d[i].partial_cmp(&d[j]).expect("NaN eigenvalue"));
+    order.sort_by(|&i, &j| d[i].total_cmp(&d[j]));
     let eigenvalues: Vec<f64> = order.iter().map(|&i| d[i]).collect();
     let mut eigenvectors = Matrix::zeros(n, n);
     for (new_col, &old_col) in order.iter().enumerate() {
@@ -166,9 +191,14 @@ pub fn eigh(a: &Matrix) -> Result<Eigh, LinalgError> {
     })
 }
 
-/// Eigenvalues only (same cost today; provided for API clarity).
+/// Eigenvalues only, sorted ascending: the [`eigh`] pipeline without
+/// forming `Q` or rotating a basis, so only the `4/3·n³` reduction plus
+/// `O(n²)` QL work. The values are bitwise those of [`eigh`].
 pub fn eigvalsh(a: &Matrix) -> Result<Vec<f64>, LinalgError> {
-    Ok(eigh(a)?.eigenvalues)
+    let (mut d, mut e) = tridiagonal_values(a, "eigvalsh")?;
+    ql(&mut d, &mut e, None)?;
+    d.sort_by(f64::total_cmp);
+    Ok(d)
 }
 
 impl Eigh {
@@ -205,7 +235,11 @@ impl Eigh {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::{matmul, matmul_tn};
+    use crate::gemm::{matmul, matmul_nt, matmul_tn};
+    use crate::norms::max_norm;
+    use crate::tridiag::tests::random_symmetric;
+    use crate::tridiag::tred2;
+    use proptest::prelude::*;
 
     fn sym_test_matrix(n: usize) -> Matrix {
         let mut a = Matrix::from_fn(n, n, |i, j| {
@@ -323,6 +357,72 @@ mod tests {
     fn eigvalsh_matches_eigh() {
         let a = sym_test_matrix(8);
         assert_eq!(eigvalsh(&a).unwrap(), eigh(&a).unwrap().eigenvalues);
+    }
+
+    /// `Q diag(λ) Qᵀ` with a pseudo-random orthogonal `Q`.
+    fn with_spectrum(lambda: &[f64], seed: u64) -> Matrix {
+        let q = tred2(&random_symmetric(lambda.len(), seed)).unwrap().q;
+        crate::gemm::q_diag_qt(&q, lambda).unwrap()
+    }
+
+    #[test]
+    fn low_rank_psd_null_space_converges() {
+        // n = 572 PSD matrices whose null space is a cluster of
+        // eigenvalues at roundoff level: a rank-32 Gram matrix B Bᵀ and a
+        // rank-143 orthogonal projector (a density-matrix-like input).
+        let n = 572;
+        let s = random_symmetric(n, 32);
+        let b = Matrix::from_fn(n, 32, |i, j| s[(i, j)]);
+        let gram = matmul_nt(&b, &b).unwrap();
+        let occupation: Vec<f64> = (0..n).map(|k| f64::from(k % 4 == 0)).collect();
+        let projector = with_spectrum(&occupation, 11);
+        for a in [gram, projector] {
+            let dec = eigh(&a).expect("low-rank PSD input must converge");
+            let floor = -1e-10 * max_norm(&a);
+            assert!(dec.min() >= floor, "eigenvalue {} below {floor}", dec.min());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+        #[test]
+        fn clustered_spectra_are_recovered(
+            n in 8usize..240,
+            width in 0usize..3,
+            seed in 0u64..1 << 40,
+        ) {
+            // Most λ in a cluster around 0 of width 0, 1e-13 or 1e-9, every
+            // fourth λ at 1 plus the same spread: projector-like spectra.
+            let spread = [0.0, 1e-13, 1e-9][width];
+            let lambda: Vec<f64> = (0..n)
+                .map(|k| f64::from(k % 4 == 0) + spread * k as f64)
+                .collect();
+            let a = with_spectrum(&lambda, seed);
+            let got = eigvalsh(&a).unwrap();
+            let mut want = lambda.clone();
+            want.sort_by(f64::total_cmp);
+            for (g, w) in got.iter().zip(&want) {
+                prop_assert!((g - w).abs() <= 1e-12, "n={n}: eigenvalue {g} vs {w}");
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_input_is_a_typed_error() {
+        // One NaN on the diagonal, one off it; the infinity case too.
+        for (i, j, bad) in [
+            (1, 1, f64::NAN),
+            (3, 0, f64::NAN),
+            (2, 4, f64::NEG_INFINITY),
+        ] {
+            let mut a = sym_test_matrix(6);
+            a[(i, j)] = bad;
+            assert_eq!(eigh(&a).unwrap_err(), LinalgError::NonFinite { op: "eigh" });
+            assert_eq!(
+                eigvalsh(&a).unwrap_err(),
+                LinalgError::NonFinite { op: "eigvalsh" }
+            );
+        }
     }
 
     #[test]

@@ -36,6 +36,12 @@ pub enum LinalgError {
         /// Number of iterations performed.
         iterations: usize,
     },
+    /// The input holds a NaN or an infinity, so no meaningful result
+    /// exists; reported before any iteration starts.
+    NonFinite {
+        /// Operation name.
+        op: &'static str,
+    },
 }
 
 impl fmt::Display for LinalgError {
@@ -58,6 +64,9 @@ impl fmt::Display for LinalgError {
             }
             LinalgError::NoConvergence { op, iterations } => {
                 write!(f, "{op}: no convergence after {iterations} iterations")
+            }
+            LinalgError::NonFinite { op } => {
+                write!(f, "{op}: input holds a NaN or an infinity")
             }
         }
     }
@@ -107,6 +116,12 @@ mod tests {
             iterations: 30,
         };
         assert_eq!(e.to_string(), "tql2: no convergence after 30 iterations");
+    }
+
+    #[test]
+    fn display_non_finite() {
+        let e = LinalgError::NonFinite { op: "eigh" };
+        assert_eq!(e.to_string(), "eigh: input holds a NaN or an infinity");
     }
 
     #[test]

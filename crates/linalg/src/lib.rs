@@ -11,8 +11,9 @@
 //! * a column-major [`Matrix`] type,
 //! * BLAS-1/2/3 kernels ([`blas1`], [`blas2`], [`gemm`]) with a cache-blocked,
 //!   Rayon-parallel GEMM,
-//! * a symmetric eigensolver [`eigh::eigh`] (Householder tridiagonalization +
-//!   implicit-shift QL, the classic `tred2`/`tql2` pair),
+//! * a symmetric eigensolver [`eigh::eigh`] (column-oriented Householder
+//!   tridiagonalization in the style of LAPACK `dsytd2`/`dorgtr` with
+//!   `uplo = 'U'` + implicit-shift QL),
 //! * Cholesky and LU factorizations,
 //! * the matrix sign function via eigendecomposition, Newton–Schulz and
 //!   higher-order Padé iterations ([`sign`]),

@@ -604,13 +604,20 @@ mod tests {
 
     #[test]
     fn disabled_by_default_and_session_scoped() {
-        assert!(!enabled());
-        emit("noop", 1.0, 0.0, &[]); // dropped silently
+        // Other tests run sessions in parallel; holding the session lock
+        // guarantees none is live while tracing must read as disabled.
+        let idle = || SESSION.lock().unwrap_or_else(|e| e.into_inner());
+        {
+            let _idle = idle();
+            assert!(!enabled());
+            emit("noop", 1.0, 0.0, &[]); // dropped silently
+        }
         let session = TraceSession::start("t-session");
         assert!(enabled());
         emit("hello", 2.0, 0.0, &[]);
         assert_eq!(session.events().len(), 1);
         drop(session);
+        let _idle = idle();
         assert!(!enabled());
     }
 
